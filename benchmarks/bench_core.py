@@ -1,7 +1,9 @@
 """Core-backend benchmark: object vs vector wall-clock, with parity.
 
-Runs the pinned 12-cell kernel/policy matrix (the same mix
-``bench_engine.py`` uses) once per simulator backend, asserts the two
+Runs the pinned 16-cell matrix — the 12 gto kernel/policy cells
+``bench_engine.py`` uses plus the two membership warp schedulers
+(``two-level``, ``("swl", 8)``) on kmeans and streaming — once per
+simulator backend, asserts the two
 results are bitwise-identical, and reports per-cell wall-clock and
 speedup plus the geometric-mean speedup.  The committed snapshot lives in
 ``BENCH_core.json`` at the repo root (regenerate with ``make bench-core``
@@ -20,9 +22,11 @@ Two modes:
     are compared, so the check is stable across machines of different
     absolute speed; parity is always asserted regardless.
 
-Timing methodology: each (cell, backend) pair runs ``--repeats`` times
-(default 3) and the minimum is kept — the standard way to suppress
-scheduler noise for single-process CPU work.
+Timing methodology: each cell runs ``--repeats`` times (default 3) per
+backend, alternating object and vector runs so that host-speed drift
+lands on both sides of the ratio, and the minimum per backend is kept —
+the standard way to suppress scheduler noise for single-process CPU
+work.
 """
 
 from __future__ import annotations
@@ -42,42 +46,57 @@ from repro.verify.golden import canonical_result, diff_paths
 #: policies.  Scale 0.1 keeps the full matrix under ~2 min on one core.
 BENCHES = ("kmeans", "streaming", "compute", "stencil")
 POLICIES = (("rr",), ("lcs",), ("static", 2))
+#: The membership warp schedulers, under the occupancy baseline, on a
+#: cache-friendly and a streaming kernel.
+MEMBER_CELLS = tuple((name, warp) for name in ("kmeans", "streaming")
+                     for warp in ("two-level", ("swl", 8)))
 SCALE = 0.1
 SEED = 20140219
 
 
 def matrix() -> list[SimJob]:
-    return [SimJob(names=(name,), scale=SCALE, seed=SEED, warp="gto",
-                   policy=policy, config=GPUConfig.small())
-            for name in BENCHES for policy in POLICIES]
+    def job(name, policy, warp="gto"):
+        return SimJob(names=(name,), scale=SCALE, seed=SEED, warp=warp,
+                      policy=policy, config=GPUConfig.small())
+    return ([job(name, policy) for name in BENCHES for policy in POLICIES]
+            + [job(name, ("rr",), warp) for name, warp in MEMBER_CELLS])
+
+
+def _warp_label(warp) -> str:
+    return f"{warp[0]}{warp[1]}" if isinstance(warp, tuple) else warp
 
 
 def _label(job: SimJob) -> str:
     policy = "+".join(str(p) for p in job.policy)
-    return f"{job.names[0]}-{policy}"
+    suffix = "" if job.warp == "gto" else f"-{_warp_label(job.warp)}"
+    return f"{job.names[0]}-{policy}{suffix}"
 
 
-def _time_backend(job: SimJob, backend: str, repeats: int):
-    """(best wall-clock seconds, result dict) for one cell on one core."""
-    best = math.inf
-    result = None
+def _time_backends(job: SimJob, repeats: int):
+    """{backend: (best wall-clock seconds, result dict)} for one cell,
+    the two cores' runs interleaved."""
+    best = {"object": math.inf, "vector": math.inf}
+    results = {}
     for _ in range(repeats):
-        run = replace(job, backend=backend)
-        started = time.perf_counter()
-        outcome = run.execute()
-        elapsed = time.perf_counter() - started
-        if elapsed < best:
-            best = elapsed
-        result = outcome
-    return best, canonical_result(result.to_dict())
+        for backend in best:
+            run = replace(job, backend=backend)
+            started = time.perf_counter()
+            outcome = run.execute()
+            elapsed = time.perf_counter() - started
+            best[backend] = min(best[backend], elapsed)
+            results[backend] = outcome
+    return {backend: (best[backend],
+                      canonical_result(results[backend].to_dict()))
+            for backend in best}
 
 
 def measure(repeats: int, quiet: bool = False) -> dict:
     cells = []
     for job in matrix():
         label = _label(job)
-        obj_s, obj = _time_backend(job, "object", repeats)
-        vec_s, vec = _time_backend(job, "vector", repeats)
+        timed = _time_backends(job, repeats)
+        obj_s, obj = timed["object"]
+        vec_s, vec = timed["vector"]
         diffs = diff_paths(obj, vec)
         if diffs:
             raise SystemExit(
@@ -87,11 +106,12 @@ def measure(repeats: int, quiet: bool = False) -> dict:
         speedup = obj_s / vec_s if vec_s > 0 else math.inf
         cells.append({"label": label, "kernel": job.names[0],
                       "policy": list(job.policy),
+                      "warp": _warp_label(job.warp),
                       "object_s": round(obj_s, 4),
                       "vector_s": round(vec_s, 4),
                       "speedup": round(speedup, 3)})
         if not quiet:
-            print(f"  {label:<18} object {obj_s:7.3f}s   vector "
+            print(f"  {label:<24} object {obj_s:7.3f}s   vector "
                   f"{vec_s:7.3f}s   {speedup:5.2f}x  parity ok")
     geomean = math.exp(sum(math.log(c["speedup"]) for c in cells)
                        / len(cells))
@@ -100,7 +120,6 @@ def measure(repeats: int, quiet: bool = False) -> dict:
         "scale": SCALE,
         "seed": SEED,
         "config": "small",
-        "warp": "gto",
         "repeats": repeats,
         "cells": cells,
         "geomean_speedup": round(geomean, 3),
@@ -153,7 +172,7 @@ def main(argv=None) -> int:
                              "--check (default 0.20)")
     args = parser.parse_args(argv)
 
-    print(f"bench-core: {len(BENCHES) * len(POLICIES)} cells, scale "
+    print(f"bench-core: {len(matrix())} cells, scale "
           f"{SCALE}, {args.repeats} repeat(s) per backend")
     snapshot = measure(args.repeats)
     print(f"bench-core: geomean speedup "

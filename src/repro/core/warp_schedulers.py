@@ -272,6 +272,8 @@ def swl_factory(warp_limit: int) -> Callable[[], "SWLScheduler"]:
         return SWLScheduler(warp_limit=warp_limit)
 
     factory.name = f"swl-{warp_limit}"  # type: ignore[attr-defined]
+    # Marks the factory as plain SWL, which the vector core reproduces.
+    factory.warp_limit = warp_limit  # type: ignore[attr-defined]
     return factory
 
 

@@ -10,10 +10,9 @@ quick smoke matrix at ``scale=0.02`` and to the full evaluation at
 
 :func:`build_job` is the single job-construction path shared by the design
 layer and :class:`~repro.harness.experiments.ExperimentContext` — both
-produce byte-identical :class:`~repro.harness.jobs.SimJob` descriptions
-(including the vector-backend fallback for warp schedulers the vector core
-does not implement), which is what keeps design-compiled campaigns and
-hand-driven experiments in the same result-cache universe.
+produce byte-identical :class:`~repro.harness.jobs.SimJob` descriptions,
+which is what keeps design-compiled campaigns and hand-driven experiments
+in the same result-cache universe.
 """
 
 from __future__ import annotations
@@ -22,8 +21,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..harness.jobs import SimJob
+from ..harness.validate import DEFAULT_BACKEND
 from ..sim.config import GPUConfig
-from ..sim.vector import vector_supported
 from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import make_kernel
 
@@ -33,18 +32,10 @@ def build_job(*, names: str | Sequence[str], scale: float, seed: int,
               policy: tuple = ("rr",),
               scale_mults: Sequence[float] | None = None,
               timeline_window: int | None = None, trace: bool = False,
-              backend: str = "object") -> SimJob:
-    """The one true :class:`SimJob` constructor for declarative layers.
-
-    Applies the vector-backend fallback: warp schedulers the vector core
-    does not implement (two-level, swl) run on the object core.  Results
-    are bitwise-identical either way, so tables and fingerprints are
-    unaffected.
-    """
+              backend: str = DEFAULT_BACKEND) -> SimJob:
+    """The one true :class:`SimJob` constructor for declarative layers."""
     if isinstance(names, str):
         names = (names,)
-    if backend == "vector" and not vector_supported(warp):
-        backend = "object"
     return SimJob(names=tuple(names), scale=scale, seed=seed,
                   scale_mults=(tuple(scale_mults)
                                if scale_mults is not None else None),
@@ -62,7 +53,7 @@ class DesignEnv:
     config: GPUConfig = field(default_factory=GPUConfig)
     timeline_window: int | None = None
     trace: bool = False
-    backend: str = "object"
+    backend: str = DEFAULT_BACKEND
     _occupancy: dict[tuple, int] = field(default_factory=dict, repr=False)
 
     def occupancy(self, name: str,
@@ -109,4 +100,4 @@ class DesignEnv:
                    config=GPUConfig(**data["config"]),
                    timeline_window=data.get("timeline_window"),
                    trace=bool(data.get("trace", False)),
-                   backend=data.get("backend", "object"))
+                   backend=data.get("backend", DEFAULT_BACKEND))

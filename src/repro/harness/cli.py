@@ -77,7 +77,7 @@ from .experiments import (EXPERIMENT_DESIGNS, EXPERIMENTS, ExperimentContext,
 from .faults import FaultPlan, FaultSpecError
 from .jobs import JobError
 from .reporting import Table
-from .validate import VALID_BACKENDS
+from .validate import DEFAULT_BACKEND, VALID_BACKENDS
 
 ALL_IDS = tuple(EXPERIMENTS) + ("e12",)
 
@@ -194,14 +194,13 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
                         metavar="DIR",
                         help="checkpoint store directory (default "
                              f"{DEFAULT_CHECKPOINT_DIR}/)")
-    parser.add_argument("--backend", default="object",
+    parser.add_argument("--backend", default=DEFAULT_BACKEND,
                         choices=VALID_BACKENDS,
-                        help="simulator core for every job: 'object' "
-                             "(reference) or 'vector' (array-oriented, "
-                             "bitwise-identical, faster); jobs using warp "
-                             "schedulers the vector core lacks (two-level, "
-                             "swl) fall back to the object core "
-                             "(default object)")
+                        help="simulator core for every job: 'vector' "
+                             "(array-oriented, faster) or 'object' "
+                             "(reference); results are bitwise-identical, "
+                             "and checkpointed or fault-injected runs use "
+                             f"the object core (default {DEFAULT_BACKEND})")
     parser.set_defaults(fail_fast=False)
     return parser.parse_args(argv)
 
@@ -473,11 +472,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     workers = args.jobs if args.jobs else default_workers()
     cache = None if args.no_cache else ResultCache()
 
-    if args.backend == "vector" and checkpoints is not None:
-        print("error: the vector backend does not support "
-              "checkpoint/resume; drop --checkpoint-interval or use "
-              "--backend object", file=sys.stderr)
-        return 2
     if args.design:
         return _run_design_campaign(args, workers, cache, faults,
                                     checkpoints)

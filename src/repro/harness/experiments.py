@@ -49,6 +49,7 @@ from .faults import FaultPlan
 from .jobs import SimJob
 from .metrics import cke_metrics
 from .reporting import Table, geomean, speedup
+from .validate import DEFAULT_BACKEND
 
 #: Default LCS decision rule and parameter used across experiments
 #: (calibrated by the E9 sensitivity sweep; see EXPERIMENTS.md).
@@ -101,10 +102,10 @@ class ExperimentContext:
     # checkpoint/resume plan.  Neither changes results or fingerprints.
     sanitize: bool | None = None
     checkpoints: CheckpointPlan | None = None
-    # Simulator core for every job this context builds ('object' or
-    # 'vector').  Not fingerprint-relevant: the backends are
+    # Simulator core for every job this context builds ('vector' or
+    # 'object').  Not fingerprint-relevant: the backends are
     # bitwise-identical by contract, so tables are too.
-    backend: str = "object"
+    backend: str = DEFAULT_BACKEND
     # Engine reports accumulate here, one per prefetch batch; sub-contexts
     # share the parent's list so a CLI failure summary sees everything.
     reports: list[BatchReport] = field(default_factory=list, repr=False)
@@ -163,8 +164,7 @@ class ExperimentContext:
 
         Delegates to :func:`repro.design.build_job` — the single job
         construction path shared with the design compiler — so a design
-        cell and a hand-built run can never drift apart (vector-backend
-        fallback included).
+        cell and a hand-built run can never drift apart.
         """
         return build_job(names=names, scale=self.scale, seed=self.seed,
                          config=self.config, warp=warp, policy=policy,

@@ -44,7 +44,7 @@ from ..sim.config import GPUConfig
 from ..sim.kernel import Kernel
 from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import SUITE, make_kernel
-from .validate import validate_backend
+from .validate import DEFAULT_BACKEND, validate_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..sim.checkpoint import Snapshot
@@ -197,7 +197,7 @@ class SimJob:
     # fingerprint: the backends are bitwise-identical by contract
     # (enforced by repro-verify's backend-parity layer), so a cached
     # result is valid whichever core produced it.
-    backend: str = "object"
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         names = ((self.names,) if isinstance(self.names, str)
@@ -290,7 +290,7 @@ class SimJob:
                    config=GPUConfig(**data["config"]),
                    timeline_window=data.get("timeline_window"),
                    trace=bool(data.get("trace", False)),
-                   backend=data.get("backend", "object"))
+                   backend=data.get("backend", DEFAULT_BACKEND))
 
     # ------------------------------------------------------------------ #
     def build_kernels(self) -> list[Kernel]:
@@ -330,7 +330,7 @@ class SimJob:
         if resume_from is not None:
             # The snapshot carries the policy, warp scheduler and telemetry
             # hub mid-state; only fresh kernels (and the riders) go in.
-            # (Snapshots are object-core state, so backend stays implicit.)
+            # (Snapshots are object-core state: simulate() routes there.)
             return simulate(kernels, config=self.config,
                             wall_timeout=wall_timeout, sanitize=sanitize,
                             checkpoint=recorder, resume_from=resume_from,

@@ -18,8 +18,9 @@ from ..sim.invariants import (DEFAULT_SANITIZE_INTERVAL, ENV_SANITIZE,
                               InvariantSanitizer)
 from ..sim.kernel import Kernel
 from ..sim.stats import CacheStats, RunResult
+from ..sim.vector import VectorGPU, vector_runs
 from ..telemetry.hub import TelemetryHub
-from .validate import validate_backend
+from .validate import DEFAULT_BACKEND, validate_backend
 
 
 def simulate(kernels: Kernel | Sequence[Kernel], *,
@@ -33,7 +34,7 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
              checkpoint: CheckpointRecorder | None = None,
              resume_from: Snapshot | None = None,
              saboteur=None,
-             backend: str = "object") -> RunResult:
+             backend: str = DEFAULT_BACKEND) -> RunResult:
     """Run kernels to completion and return the collected statistics.
 
     Parameters
@@ -88,20 +89,19 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
         Fault-injection hook (``FaultPlan.run_saboteur``) that kills or
         corrupts the run at a chosen cycle; test/drill use only.
     backend:
-        ``'object'`` (default) — the per-object reference core; or
-        ``'vector'`` — the array-oriented core (:mod:`repro.sim.vector`),
-        bitwise-identical results at a fraction of the wall clock.  The
-        vector core supports the named ``lrr``/``gto``/``baws`` warp
-        schedulers and no checkpoint/resume/fault-injection riders.
+        ``'vector'`` (default) — the array-oriented core
+        (:mod:`repro.sim.vector`); or ``'object'`` — the per-object
+        reference core.  Results are bitwise-identical, so the choice is
+        about speed only, and a vector request runs on the object core
+        whenever the vector core cannot honour it: ``resume_from``, a
+        ``checkpoint`` recorder, a ``saboteur``, a custom warp-scheduler
+        factory, or ``config.max_cycles`` beyond the packed-key range.
     """
     validate_backend(backend)
     if isinstance(kernels, Kernel):
         kernels = [kernels]
     kernels = list(kernels)
     if resume_from is not None:
-        if backend != "object":
-            raise ValueError("resume_from restores an object-core GPU; "
-                             "use backend='object'")
         if cta_scheduler is not None or telemetry is not None:
             raise ValueError("resume_from restores the snapshotted "
                              "scheduler and telemetry hub; do not pass "
@@ -126,12 +126,8 @@ def simulate(kernels: Kernel | Sequence[Kernel], *,
                 raise ValueError("cta_scheduler was built for different "
                                  "kernels")
         config = config if config is not None else GPUConfig()
-        if backend == "vector":
-            if checkpoint is not None or saboteur is not None:
-                raise ValueError(
-                    "the vector backend does not support checkpoint "
-                    "recording or fault injection; use backend='object'")
-            from ..sim.vector import VectorGPU
+        if backend == "vector" and checkpoint is None and saboteur is None \
+                and vector_runs(warp_scheduler, config):
             gpu = VectorGPU(config=config, warp_scheduler=warp_scheduler,
                             telemetry=telemetry)
         else:

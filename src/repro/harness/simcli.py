@@ -32,7 +32,6 @@ simulate directly (``--sanitize`` still applies; checkpointing does not).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -45,23 +44,21 @@ from ..core.dyncta import DynCTAScheduler
 from ..core.lcs import LCSScheduler
 from ..core.warp_schedulers import available_warp_schedulers, swl_factory
 from ..sim.config import GPUConfig
-from ..sim.gpu import GPU, SimulationTimeout
+from ..sim.gpu import SimulationTimeout
 from ..sim.kernel import Kernel
-from ..sim.vector import VECTOR_WARP_SCHEDULERS, vector_supported
 from ..sim.stats import RunResult
 from ..telemetry.hub import TelemetryHub
 from ..telemetry.trace import write_trace
 from ..workloads.patterns import DEFAULT_SEED
 from ..workloads.suite import SUITE, make_kernel
 from ..workloads.tracefile import load_kernel_trace
-from ..sim.invariants import (DEFAULT_SANITIZE_INTERVAL, ENV_SANITIZE,
-                              InvariantSanitizer)
 from .cache import DEFAULT_CACHE_DIR, ResultCache
 from .checkpoints import DEFAULT_CHECKPOINT_DIR, CheckpointPlan
 from .engine import DEFAULT_RETRIES, run_batch
 from .faults import FaultPlan, FaultSpecError
 from .jobs import SimJob
-from .validate import VALID_BACKENDS
+from .runner import simulate
+from .validate import DEFAULT_BACKEND, VALID_BACKENDS
 
 CONFIGS = ("fermi", "kepler", "small")
 POLICIES = ("rr", "static:N", "lcs", "bcs[:B]", "lcs+bcs[:B]", "dyncta")
@@ -88,13 +85,13 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     parser.add_argument("--policy", default="rr",
                         help=f"CTA policy: {', '.join(POLICIES)} "
                              "(default rr)")
-    parser.add_argument("--backend", default="object",
+    parser.add_argument("--backend", default=DEFAULT_BACKEND,
                         choices=VALID_BACKENDS,
-                        help="simulator core: 'object' (per-object "
-                             "reference) or 'vector' (array-oriented, "
-                             "bitwise-identical results, faster; named "
-                             "lrr/gto/baws warp schedulers only; default "
-                             "object)")
+                        help="simulator core: 'vector' (array-oriented, "
+                             "faster) or 'object' (per-object reference); "
+                             "results are bitwise-identical, and "
+                             "checkpointed or fault-injected runs use the "
+                             f"object core (default {DEFAULT_BACKEND})")
     parser.add_argument("--timeline", metavar="CSV", nargs="?", const="-",
                         help="write the windowed telemetry timeline as CSV "
                              "to FILE ('-' or no value = stdout; an "
@@ -244,18 +241,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                   and not args.trace)
     try:
         config = _make_config(args.config)
-        if args.backend == "vector" and args.checkpoint_interval is not None:
-            print("error: the vector backend does not support "
-                  "checkpoint/resume; drop --checkpoint-interval or use "
-                  "--backend object", file=sys.stderr)
-            return 2
-        if args.backend == "vector" \
-                and not vector_supported(_warp_descriptor(args.warp)):
-            print(f"error: warp scheduler {args.warp!r} is not supported "
-                  "by the vector backend (supported: "
-                  f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}); use "
-                  "--backend object", file=sys.stderr)
-            return 2
         if use_engine:
             job = SimJob(names=(args.kernel,), scale=args.scale,
                          seed=args.seed,
@@ -335,39 +320,14 @@ def main(argv: Sequence[str] | None = None) -> int:
             timeline_dest = args.timeline
     hub = TelemetryHub(window=window, trace=bool(args.trace))
 
-    sanitize = args.sanitize
-    if sanitize is None:
-        sanitize = bool(os.environ.get(ENV_SANITIZE, "").strip())
-    sanitizer = (InvariantSanitizer(interval=DEFAULT_SANITIZE_INTERVAL)
-                 if sanitize else None)
-    if args.backend == "vector":
-        from ..sim.vector import VectorBackendError, VectorGPU
-        try:
-            gpu = VectorGPU(config=config, warp_scheduler=warp,
-                            telemetry=hub)
-        except VectorBackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    else:
-        gpu = GPU(config=config, warp_scheduler=warp, telemetry=hub)
     try:
-        gpu.run(policy, wall_timeout=args.timeout, sanitizer=sanitizer)
+        result = simulate(kernel, config=config, warp_scheduler=warp,
+                          cta_scheduler=policy, telemetry=hub,
+                          wall_timeout=args.timeout, sanitize=args.sanitize,
+                          backend=args.backend)
     except SimulationTimeout as error:
         print(f"error: simulation timed out ({error})", file=sys.stderr)
         return 1
-
-    # Assemble the same summary simulate() would give.
-    from ..sim.stats import CacheStats
-    l1_total = CacheStats()
-    for sm in gpu.sms:
-        l1_total.add(sm.l1.stats)
-    result = RunResult(
-        cycles=gpu.cycle, instructions=gpu.total_issued,
-        kernels={run.kernel.name: run.stats for run in gpu.runs},
-        l1=l1_total, l2=gpu.mem.l2_stats(), dram=gpu.mem.dram.stats,
-        issued_by_sm=[sm.issued for sm in gpu.sms],
-        cta_limits=policy.limits_snapshot(),
-        meta={"lcs_decision": getattr(policy, "decision", None)})
     _print_result(result, kernel.name, args.policy.partition(":")[0])
 
     timeline = hub.timeline_result()

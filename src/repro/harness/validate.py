@@ -15,6 +15,11 @@ from ..sim.stats import RunResult
 #: array-oriented core (see :mod:`repro.sim.vector`).
 VALID_BACKENDS = ("object", "vector")
 
+#: The core a job, design environment, CLI or ``simulate()`` call uses
+#: when it names none.  Requests the vector core cannot honour still run
+#: on the object core (see :func:`repro.harness.runner.simulate`).
+DEFAULT_BACKEND = "vector"
+
 
 class RunValidationError(AssertionError):
     """A RunResult violated a simulator invariant."""

@@ -30,21 +30,28 @@ vector backend must produce a ``RunResult`` identical to the object core —
 stats, timeline and telemetry.  ``repro-verify backend`` and the fuzzer's
 ``backend`` invariant enforce it; see docs/PERFORMANCE.md ("Backends").
 
-Scope: the vector core supports the ``lrr``/``gto``/``baws`` warp
-schedulers (all CTA policies work — they sit above the SM and are shared).
-``two-level``/``swl`` keep per-warp membership state with object identity
-semantics and stay on the object core; :func:`vector_supported` reports
-the split so callers can route.
+Scope: the vector core supports all five warp schedulers (``lrr``,
+``gto``, ``baws``, ``two-level``, ``swl``) and every CTA policy (policies
+sit above the SM and are shared).  It has no checkpoint/resume or
+run-saboteur riders and rejects custom warp-scheduler factories;
+:func:`~repro.harness.runner.simulate` routes such requests to the
+object core, and :func:`vector_supported` / :func:`vector_runs` report
+the split.
 """
 
 from __future__ import annotations
 
-from ..gpu import SimulationError
+from typing import TYPE_CHECKING
 
-#: Warp schedulers the vector core reproduces bitwise.  ``two-level`` and
-#: ``swl`` mutate per-warp membership sets during ``pick`` (object-identity
-#: semantics); they stay on the object reference core.
-VECTOR_WARP_SCHEDULERS = frozenset({"lrr", "gto", "baws"})
+from ..gpu import SimulationError
+from .sched import MAX_LAST_ISSUE
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..config import GPUConfig
+
+#: Warp schedulers the vector core reproduces bitwise.
+VECTOR_WARP_SCHEDULERS = frozenset({"lrr", "gto", "baws", "two-level",
+                                    "swl"})
 
 
 class VectorBackendError(SimulationError):
@@ -71,12 +78,27 @@ def ensure_numpy():
 
 
 def vector_supported(warp: object) -> bool:
-    """True if the vector backend supports this warp-scheduler descriptor.
+    """True if the vector backend supports this warp-scheduler argument.
 
-    Accepts the harness' warp descriptors: a plain name string or a
-    ``("swl", limit)`` style tuple (tuples are always object-only).
+    Accepts the harness' descriptors (a name or the ``("swl", K)`` tuple)
+    and ``simulate()``'s arguments (a name or a zero-arg factory).  Of
+    the factories only :func:`~repro.core.warp_schedulers.swl_factory`'s
+    qualify; any other is custom and runs on the object core only.
     """
-    return isinstance(warp, str) and warp in VECTOR_WARP_SCHEDULERS
+    if isinstance(warp, str):
+        return warp in VECTOR_WARP_SCHEDULERS
+    if isinstance(warp, tuple):
+        return (len(warp) == 2 and warp[0] == "swl"
+                and isinstance(warp[1], int))
+    return getattr(warp, "warp_limit", None) is not None
+
+
+def vector_runs(warp: object, config: "GPUConfig") -> bool:
+    """True if the vector core can run this warp-scheduler argument on
+    this hardware config: a supported scheduler, and ``max_cycles``
+    within the packed-key range."""
+    return (vector_supported(warp)
+            and config.max_cycles <= MAX_LAST_ISSUE)
 
 
 from .gpu import VectorGPU  # noqa: E402  (circular-free; re-export)
@@ -86,5 +108,6 @@ __all__ = [
     "VectorBackendError",
     "VectorGPU",
     "ensure_numpy",
+    "vector_runs",
     "vector_supported",
 ]

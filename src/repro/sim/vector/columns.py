@@ -68,9 +68,10 @@ class WarpColumns:
         #: Encoded program: ``ops`` packs the Op codes into ``bytes`` (one
         #: byte per instruction — a tight, cache-friendly int sequence),
         #: ``lat`` / ``lines`` carry the latency and coalesced-line tuples.
-        self.ops: list[bytes] = []
-        self.lat: list[tuple[int, ...]] = []
-        self.lines: list[tuple[tuple[int, ...], ...]] = []
+        #: All three are None once the slot's CTA has completed.
+        self.ops: list[bytes | None] = []
+        self.lat: list[tuple[int, ...] | None] = []
+        self.lines: list[tuple[tuple[int, ...], ...] | None] = []
         #: The warp/CTA objects behind each slot (synced at CTA release).
         self.warps: list["Warp"] = []
         self.ctas: list["CTA"] = []

@@ -24,6 +24,11 @@ Parity invariants this file preserves (vs. the object core):
 * Issue order: each scheduler examines candidates in exactly the object
   heap's priority order (the packed-int keys order identically, see
   :mod:`.sched`), with the same greedy-pointer and SCAN_LIMIT semantics.
+* Membership (two-level, swl): each scheduler's member set is a dict of
+  slot ids in the object set's insertion order, updated at the same
+  points — two-level on issue (demote on LD/ST, promote otherwise with
+  WAIT_MEM-first, then oldest, eviction), swl at pick (admit) and on
+  EXIT issue (release).
 * Wake attribution: a wakeup adds ``now - state_since`` to the same
   ``t_*`` bucket at the same ``now`` the object core's event callback
   would have used (the loop's current cycle, not the scheduled cycle —
@@ -46,9 +51,10 @@ from ..sm import PREFETCH, SM
 from ..warp import MemRequest, Warp
 from . import VectorBackendError
 from .columns import WarpColumns
-from .sched import (AGE_BITS, GREEDY_KINDS, IDX_BITS, LI_BITS, MAX_CTA_SEQ,
-                    MAX_SLOTS, MAX_WARP_IDX, SCAN_LIMIT, SLOT_BITS,
-                    SLOT_MASK, VecScheduler)
+from .sched import (AGE_BITS, GREEDY_KINDS, IDX_BITS, KIND_SWL,
+                    KIND_TWO_LEVEL, LI_BITS, MAX_CTA_SEQ, MAX_SLOTS,
+                    MAX_WARP_IDX, SCAN_LIMIT, SLOT_BITS, SLOT_MASK,
+                    VecScheduler)
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..gpu import KernelRun
@@ -70,7 +76,7 @@ class VectorSM(SM):
 
     def __init__(self, gpu: "VectorGPU", sm_id: int, config: GPUConfig,
                  scheduler_factory: Callable[[], object], kind: int,
-                 cal: dict, calheap: list) -> None:
+                 limit: int, cal: dict, calheap: list) -> None:
         super().__init__(gpu, sm_id, config, scheduler_factory)
         self.cols = WarpColumns()
         cols = self.cols
@@ -94,7 +100,8 @@ class VectorSM(SM):
         self._baws = cols.baws_base
         #: cta.seq -> list of slot ids (insertion = warp index order).
         self._cta_slots: dict[int, list[int]] = {}
-        self._vsched = [VecScheduler() for _ in range(config.issue_width)]
+        self._vsched = [VecScheduler(limit)
+                        for _ in range(config.issue_width)]
         self._kind = kind
         self._greedy = kind in GREEDY_KINDS
         # Shared GPU-level wake calendar: {cycle: [packed entries]} plus a
@@ -166,10 +173,84 @@ class VectorSM(SM):
             key = self._age[slot]
         elif kind == 0:  # lrr: least recently issued first
             key = ((self._li[slot] + 1) << AGE_BITS) | self._age[slot]
-        else:            # baws: oldest block, then least recently issued
+        elif kind == 2:  # baws: oldest block, then least recently issued
             key = self._baws[slot] + ((self._li[slot] + 1) << AGE_BITS)
+        else:            # two-level / swl: members first
+            key = self._member_key(sched, slot)
         self._ekey[slot] = key
         heappush(sched.heap, (key << SLOT_BITS) | slot)
+
+    def _member_key(self, sched: VecScheduler, slot: int) -> int:
+        """Key of the membership kinds: ``(not member, last_issue, age)``
+        for two-level, ``(not member, age)`` for swl."""
+        outside = slot not in sched.members
+        if self._kind == KIND_SWL:
+            return (outside << AGE_BITS) | self._age[slot]
+        return ((((outside << LI_BITS) | (self._li[slot] + 1)) << AGE_BITS)
+                | self._age[slot])
+
+    def _pick_swl(self, sched: VecScheduler, qfull: bool) -> int:
+        """``SWLScheduler.pick``: the GTO walk with every candidate passed
+        through ``_admit`` first, so a non-member is admitted while the
+        member set has room (even if it then cannot issue) and otherwise
+        counts against SCAN_LIMIT whatever the LD/ST queue holds."""
+        state = self._state
+        ops = self._ops
+        pcs = self._pc
+        members = sched.members
+        g = sched.greedy_slot
+        if g >= 0 and state[g] == 0:
+            admitted = g in members
+            if not admitted and len(members) < sched.limit:
+                members[g] = None
+                admitted = True
+            if admitted and not (qfull and 2 <= ops[g][pcs[g]] <= 3):
+                return g
+            sched.greedy_slot = -1
+            self._push(sched, g)
+        heap = sched.heap
+        ekey = self._ekey
+        slot = -1
+        skipped = []
+        while heap:
+            entry = heappop(heap)
+            s = entry & SLOT_MASK
+            if state[s] != 0 or (entry >> SLOT_BITS) != ekey[s]:
+                continue  # stale entry
+            admitted = s in members
+            if not admitted and len(members) < sched.limit:
+                members[s] = None
+                admitted = True
+            if admitted and not (qfull and 2 <= ops[s][pcs[s]] <= 3):
+                slot = s
+                break
+            skipped.append(entry)
+            if len(skipped) >= SCAN_LIMIT:
+                break
+        for entry in skipped:
+            heappush(heap, entry)
+        sched.greedy_slot = slot
+        return slot
+
+    def _member_issue(self, sched: VecScheduler, slot: int, op: int) -> None:
+        """``on_issue`` of the membership kinds, run before the issuing
+        slot's state changes (as in ``SM._issue``)."""
+        members = sched.members
+        if self._kind == KIND_SWL:
+            if op == 5:  # EXIT frees the member slot
+                members.pop(slot, None)
+        elif op == 2 or op == 3:
+            # two-level: a long-latency issue demotes from the active set.
+            members.pop(slot, None)
+        elif slot not in members:
+            if len(members) >= sched.limit:
+                # Evict a memory-blocked member; if none, the oldest entry.
+                state = self._state
+                victim = next((s for s in members if state[s] == 2), None)
+                if victim is None:
+                    victim = next(iter(members))
+                del members[victim]
+            members[slot] = None
 
     # ------------------------------------------------------------------ #
     # Per-cycle behaviour
@@ -195,6 +276,7 @@ class VectorSM(SM):
             ldst = self.ldst
             depth = self._ldst_depth
             greedy = self._greedy
+            kind = self._kind
             push = heappush
             pop = heappop
             issued = 0
@@ -202,7 +284,11 @@ class VectorSM(SM):
                 # ---- pick (the object scheduler's exact priority walk) --
                 qfull = len(ldst) >= depth
                 slot = -1
-                if greedy:
+                if kind == KIND_SWL:
+                    slot = self._pick_swl(sched, qfull)
+                    if slot < 0:
+                        continue
+                elif greedy:
                     g = sched.greedy_slot
                     if g >= 0 and state[g] == 0:
                         if not qfull:
@@ -266,6 +352,8 @@ class VectorSM(SM):
                 # (the LCS monitor) read sm.issued mid-tick.
                 self.issued += 1
                 li[slot] = now                        # on_issue
+                if kind >= KIND_TWO_LEVEL:
+                    self._member_issue(sched, slot, op)
                 self.num_ready -= 1
                 if op < 2:       # ALU / SHARED
                     state[slot] = 1
@@ -329,8 +417,10 @@ class VectorSM(SM):
                 key = self._age[slot]
             elif kind == 0:
                 key = ((self._li[slot] + 1) << AGE_BITS) | self._age[slot]
-            else:
+            elif kind == 2:
                 key = self._baws[slot] + ((self._li[slot] + 1) << AGE_BITS)
+            else:
+                key = self._member_key(sched, slot)
             self._ekey[slot] = key
             heappush(sched.heap, (key << SLOT_BITS) | slot)
         self.num_ready += 1
@@ -347,8 +437,10 @@ class VectorSM(SM):
                 key = self._age[slot]
             elif kind == 0:
                 key = ((self._li[slot] + 1) << AGE_BITS) | self._age[slot]
-            else:
+            elif kind == 2:
                 key = self._baws[slot] + ((self._li[slot] + 1) << AGE_BITS)
+            else:
+                key = self._member_key(sched, slot)
             self._ekey[slot] = key
             heappush(sched.heap, (key << SLOT_BITS) | slot)
         self.num_ready += 1
@@ -375,9 +467,13 @@ class VectorSM(SM):
     def _release_vec(self, cta: CTA, now: int) -> None:
         # Results and policy hooks read the completing CTA's warps
         # (t_* stall accounting, final pc/state): write the columns back.
+        # A done slot's trace is never read again (every pick tests the
+        # state column first), so drop it: the columns would otherwise
+        # hold the whole grid's traces by the end of the run.
         cols = self.cols
         for slot in self._cta_slots.pop(cta.seq):
             cols.sync_warp(slot)
+            cols.ops[slot] = cols.lat[slot] = cols.lines[slot] = None
         self._release(cta, now)
 
     # ------------------------------------------------------------------ #

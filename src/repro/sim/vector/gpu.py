@@ -35,7 +35,8 @@ from ..config import GPUConfig
 from ..cta import CTA
 from ..gpu import GPU, SimulationDeadlock, SimulationError, SimulationTimeout
 from ..sm import SM
-from . import VECTOR_WARP_SCHEDULERS, VectorBackendError, ensure_numpy
+from . import (VECTOR_WARP_SCHEDULERS, VectorBackendError, ensure_numpy,
+               vector_supported)
 from .core import VectorSM
 from .sched import KIND_BY_NAME, MAX_LAST_ISSUE, SLOT_BITS, SLOT_MASK
 
@@ -50,25 +51,21 @@ class VectorGPU(GPU):
     """Drop-in :class:`GPU` with the array-oriented hot path.
 
     Accepts only the warp schedulers the vector core reproduces bitwise
-    (:data:`VECTOR_WARP_SCHEDULERS`); everything else — configs, CTA
-    policies, telemetry hubs — is shared with the object core.
+    (:data:`VECTOR_WARP_SCHEDULERS` by name, or an ``swl_factory``);
+    everything else — configs, CTA policies, telemetry hubs — is shared
+    with the object core.
     """
 
     def __init__(self, config: GPUConfig | None = None,
                  warp_scheduler: str | Callable[[], WarpScheduler] = "gto",
                  telemetry: "TelemetryHub | None" = None) -> None:
         ensure_numpy()
-        if not isinstance(warp_scheduler, str):
-            raise VectorBackendError(
-                "the vector backend needs a named warp scheduler "
-                f"({', '.join(sorted(VECTOR_WARP_SCHEDULERS))}), not a "
-                "custom factory; use backend='object'")
-        if warp_scheduler not in VECTOR_WARP_SCHEDULERS:
+        if not vector_supported(warp_scheduler):
             raise VectorBackendError(
                 f"warp scheduler {warp_scheduler!r} is not supported by "
                 f"the vector backend (supported: "
-                f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}); "
-                "use backend='object'")
+                f"{', '.join(sorted(VECTOR_WARP_SCHEDULERS))}, or "
+                "swl_factory(K)); use backend='object'")
         super().__init__(config=config, warp_scheduler=warp_scheduler,
                          telemetry=telemetry)
         if self.config.max_cycles > MAX_LAST_ISSUE:
@@ -80,12 +77,24 @@ class VectorGPU(GPU):
         self._wake_cal: dict[int, list[int]] = {}
         self._wake_heap: list[int] = []
         self._ctas_done = 0
-        kind = KIND_BY_NAME[warp_scheduler]
-        factory = warp_scheduler_factory(warp_scheduler)
+        if isinstance(warp_scheduler, str):
+            name = warp_scheduler
+            factory = warp_scheduler_factory(name)
+        else:
+            name, factory = "swl", warp_scheduler
+        # The membership kinds take their member-set capacity from the
+        # object schedulers the base constructor built (and validated).
+        probe = self.sms[0].schedulers[0]
+        limit = 0
+        if name == "swl":
+            limit = probe.warp_limit
+        elif name == "two-level":
+            limit = probe.ACTIVE_SET_SIZE
         # The probes read gpu.sms dynamically, so swapping in the vector
         # SMs after the base constructor is safe.
-        self.sms = [VectorSM(self, sm_id, self.config, factory, kind,
-                             self._wake_cal, self._wake_heap)
+        self.sms = [VectorSM(self, sm_id, self.config, factory,
+                             KIND_BY_NAME[name], limit, self._wake_cal,
+                             self._wake_heap)
                     for sm_id in range(self.config.num_sms)]
 
     # ------------------------------------------------------------------ #

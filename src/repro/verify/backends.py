@@ -30,7 +30,7 @@ from typing import Any, Callable, Sequence
 
 from ..harness.engine import run_batch
 from ..harness.jobs import SimJob
-from ..sim.vector import vector_supported
+from ..sim.vector import vector_runs
 from .golden import (DRIFT_LANES, GoldenCell, GoldenError, canonical_result,
                      classify_drift, golden_matrix)
 
@@ -38,13 +38,14 @@ from .golden import (DRIFT_LANES, GoldenCell, GoldenError, canonical_result,
 def parity_matrix(tier: str = "smoke") -> list[GoldenCell]:
     """The golden matrix restricted to vector-capable cells.
 
-    Cells using ``two-level``/``swl`` warp schedulers stay object-only
-    (see :data:`repro.sim.vector.VECTOR_WARP_SCHEDULERS`) and are
-    excluded; everything else — every CTA policy, both hardware classes,
-    the telemetry riders — is swept.
+    Today that is every cell — all five warp schedulers, every CTA
+    policy, both hardware classes, the telemetry riders.  The filter
+    keeps the sweep honest should a cell the vector core cannot run
+    (which ``simulate()`` would quietly route to the object core) join
+    the matrix.
     """
     return [cell for cell in golden_matrix(tier)
-            if vector_supported(cell.job.warp)]
+            if vector_runs(cell.job.warp, cell.job.config)]
 
 
 @dataclass
@@ -128,11 +129,11 @@ def verify_backends(cells: Sequence[GoldenCell], *, workers: int = 1,
     if len(labels) != len(set(labels)):
         raise GoldenError("duplicate labels in the parity matrix")
     for cell in cells:
-        if not vector_supported(cell.job.warp):
+        if not vector_runs(cell.job.warp, cell.job.config):
             raise GoldenError(
-                f"cell {cell.label!r} uses warp {cell.job.warp!r}, which "
-                "the vector backend does not support; build the sweep "
-                "with parity_matrix()")
+                f"cell {cell.label!r} (warp {cell.job.warp!r}) cannot run "
+                "on the vector backend; build the sweep with "
+                "parity_matrix()")
 
     report = ParityReport(tier="parity")
     object_batch = run_batch(

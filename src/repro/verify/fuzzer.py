@@ -12,8 +12,7 @@ Invariants (:data:`INVARIANTS`):
 ``determinism``
     Running the identical case twice yields bitwise-identical results
     (the contract the result cache, the engine and the goldens rely on).
-    Checked on both simulator backends (vector when the case's warp
-    scheduler supports it).
+    Checked on both simulator backends.
 ``rename``
     Renaming the kernel changes nothing but the name: no scheduling or
     memory decision may key on the kernel's *name*.  (Exact for fuzz
@@ -51,9 +50,9 @@ Invariants (:data:`INVARIANTS`):
     identical fingerprints (the determinism contract campaigns and the
     ``--design`` CLI path lean on).  Pure compilation: nothing simulates.
 ``backend``
-    For cases whose warp scheduler the vector backend supports
-    (:data:`~repro.sim.vector.VECTOR_WARP_SCHEDULERS`), the object and
-    vector cores produce bitwise-identical results — statistics,
+    For cases whose warp scheduler the vector backend supports (all
+    five, :data:`~repro.sim.vector.VECTOR_WARP_SCHEDULERS`), the object
+    and vector cores produce bitwise-identical results — statistics,
     windowed timeline and trace alike (the contract
     :mod:`repro.verify.backends` sweeps over the pinned matrix,
     extended here to generated kernels).

@@ -27,7 +27,11 @@ Drift is classified per lane —
 one that moves the reproduced results.  The ``repro-verify`` CLI
 (:mod:`repro.verify.cli`) drives this and exits non-zero on any drift.
 
-Refreshing goldens after an *intentional* model change::
+Refreshing goldens after an *intentional* model change — bump
+``SIM_VERSION`` (:mod:`repro.harness.jobs`) first, or ``--update``
+refuses every cell whose results moved under an unchanged fingerprint
+(the persistent result cache, keyed by that fingerprint, would otherwise
+keep serving the old results)::
 
     repro-verify golden --tier smoke --update
     repro-verify golden --tier full  --update
@@ -444,7 +448,10 @@ def verify_goldens(cells: Sequence[GoldenCell], store: GoldenStore, *,
     """Re-run every cell (cache-bypassing) and diff against the store.
 
     ``update=True`` re-baselines: every cell's fresh result is written to
-    the store and reported ``updated``.  Runs go through
+    the store and reported ``updated`` — except a cell whose stored
+    golden has the same fingerprint but a different result, which is
+    refused as an ``error`` (results changed without a ``SIM_VERSION``
+    bump).  Runs go through
     :func:`repro.harness.engine.run_batch` with ``cache=None`` — the
     drift gate must *never* replay the persistent result cache it is
     meant to audit.
@@ -467,6 +474,23 @@ def verify_goldens(cells: Sequence[GoldenCell], store: GoldenStore, *,
             continue
         fresh = canonical_result(outcome.result.to_dict())
         if update:
+            try:
+                entry = store.get(cell.label)
+            except GoldenError:
+                entry = None  # an unreadable golden is what --update mends
+            drift = (classify_drift(entry["result"], fresh)
+                     if entry is not None
+                     and entry["fingerprint"] == fingerprint else None)
+            if drift:
+                report.verdicts.append(CellVerdict(
+                    cell.label, fingerprint, "error",
+                    lanes=[lane for lane in DRIFT_LANES if lane in drift],
+                    diffs=drift,
+                    error="results changed without a SIM_VERSION bump; "
+                          "bump SIM_VERSION in repro/harness/jobs.py so "
+                          "the result cache stops serving the old "
+                          "results, then re-run --update"))
+                continue
             store.put(cell, fresh)
             report.verdicts.append(CellVerdict(cell.label, fingerprint,
                                                "updated"))

@@ -20,7 +20,9 @@ most boring way possible:
   the loop top exactly like the tuned loop.
 
 :func:`cross_check` runs one :class:`~repro.harness.jobs.SimJob` through
-*both* models with the same telemetry window and compares the windowed
+*both* models — the tuned side on the object core whatever the job's
+``backend`` (the vector core is held to the object core separately, by
+:mod:`repro.verify.backends`) — with the same telemetry window and compares the windowed
 timeline row by row: a specialization bug surfaces at the **first
 divergent window** (cycle named), with the differing columns and a
 minimized repro snippet, instead of as an end-of-run stat delta with no
@@ -508,7 +510,7 @@ def cross_check(job: SimJob, *, window: int = DEFAULT_WINDOW,
             f"model's scope; supported: {sorted(REF_SUPPORTED)}")
     if job.timeline_window != window:
         job = replace(job, timeline_window=window)
-    tuned = job.execute(wall_timeout=wall_timeout)
+    tuned = replace(job, backend="object").execute(wall_timeout=wall_timeout)
     reference = reference_simulate(job, wall_timeout=wall_timeout)
     repro = (
         "from repro.harness.jobs import SimJob\n"

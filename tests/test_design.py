@@ -159,13 +159,21 @@ class TestDesignCompile:
         assert counts["e12"] == 0
 
     def test_vector_fallback_single_construction_path(self):
+        # No fallback at construction: every warp scheduler runs on the
+        # vector core, and simulate() routes the riders it lacks.
         job = build_job(names="kmeans", scale=TINY, seed=1,
                         config=GPUConfig(), warp="two-level",
                         backend="vector")
-        assert job.backend == "object"
+        assert job.backend == "vector"
         job = build_job(names="kmeans", scale=TINY, seed=1,
                         config=GPUConfig(), warp="gto", backend="vector")
         assert job.backend == "vector"
+        job = build_job(names="kmeans", scale=TINY, seed=1,
+                        config=GPUConfig(), warp=("swl", 4))
+        assert job.backend == "vector"
+        job = build_job(names="kmeans", scale=TINY, seed=1,
+                        config=GPUConfig(), warp="gto", backend="object")
+        assert job.backend == "object"
 
 
 # --------------------------------------------------------------------------- #

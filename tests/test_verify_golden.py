@@ -200,6 +200,40 @@ class TestVerifyGoldens:
         assert record["kind"] == "golden"
         assert record["diffs"]["stats"][0]["path"] == "cycles"
 
+    def test_update_refuses_changed_results_under_same_fingerprint(
+            self, tmp_path):
+        # A stored golden whose result differs from a fresh run of the
+        # same fingerprint means results moved without a SIM_VERSION
+        # bump: re-baselining would leave the result cache stale.
+        store = GoldenStore(tmp_path)
+        verify_goldens(self.CELLS, store, update=True)
+        cell = self.CELLS[0]
+        path = store.path_for(cell.label)
+        entry = json.loads(path.read_text())
+        entry["result"]["cycles"] += 1
+        entry["digest"] = result_digest(entry["result"])
+        tampered = json.dumps(entry)
+        path.write_text(tampered)
+
+        report = verify_goldens(self.CELLS, store, update=True)
+        assert not report.ok
+        [verdict] = report.failures()
+        assert verdict.label == cell.label
+        assert verdict.status == "error"
+        assert "without a SIM_VERSION bump" in verdict.error
+        assert verdict.lanes == ["stats"]
+        assert report.count("updated") == 1
+        assert path.read_text() == tampered   # not overwritten
+
+    def test_update_rewrites_unreadable_and_stale_goldens(self, tmp_path):
+        store = GoldenStore(tmp_path)
+        verify_goldens(self.CELLS, store, update=True)
+        store.path_for("gate-a").write_text("{not json")
+        moved = [self.CELLS[0], _cell("gate-b", scale=0.07)]
+        report = verify_goldens(moved, store, update=True)
+        assert report.ok and report.count("updated") == 2
+        assert verify_goldens(moved, store).count("ok") == 2
+
     def test_stale_fingerprint_detected(self, tmp_path):
         store = GoldenStore(tmp_path)
         verify_goldens(self.CELLS, store, update=True)
