@@ -33,7 +33,7 @@ bench-core:      ## re-baseline BENCH_core.json: object vs vector wall-clock
 	PYTHONPATH=src $(PY) benchmarks/bench_core.py --out BENCH_core.json
 
 bench-core-check: ## assert backend parity + no >20% speedup regression
-	PYTHONPATH=src $(PY) benchmarks/bench_core.py --repeats 2 \
+	PYTHONPATH=src $(PY) benchmarks/bench_core.py --repeats 3 \
 		--check BENCH_core.json
 
 EXP = PYTHONPATH=src $(PY) -m repro.harness.cli

@@ -23,10 +23,19 @@ Two modes:
     absolute speed; parity is always asserted regardless.
 
 Timing methodology: each cell runs ``--repeats`` times (default 3) per
-backend, alternating object and vector runs so that host-speed drift
-lands on both sides of the ratio, and the minimum per backend is kept —
-the standard way to suppress scheduler noise for single-process CPU
-work.
+backend as interleaved object/vector pairs, and the cell's speedup is the
+median of the per-pair object/vector ratios.  The two runs of a pair are
+adjacent in time, so host-speed drift (tens of percent between seconds
+on a shared VM) mostly cancels inside each ratio; a ratio of per-side
+minima instead pairs runs from different moments and let single-run
+spikes move a cell by ±25%.  ``object_s`` / ``vector_s`` report the
+per-side minima for reference only.
+
+Vector runs are memo-warm: each cell's column traces are built into the
+trace memo (:mod:`repro.sim.kernel`) before its timed pairs, as they are
+for every cell of a sweep after the first that shares its kernel, while
+the object core builds ``Instruction`` traces fresh every run.  Warming
+first keeps every pair alike, whatever ``--repeats`` is.
 """
 
 from __future__ import annotations
@@ -34,6 +43,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import statistics
 import sys
 import time
 from dataclasses import replace
@@ -73,28 +83,36 @@ def _label(job: SimJob) -> str:
 
 
 def _time_backends(job: SimJob, repeats: int):
-    """{backend: (best wall-clock seconds, result dict)} for one cell,
-    the two cores' runs interleaved."""
+    """(median per-pair speedup, {backend: (best wall-clock seconds,
+    result dict)}) for one cell, the two cores' runs interleaved."""
+    for kernel in job.build_kernels():
+        for cta_id in range(kernel.num_ctas):
+            for warp_idx in range(kernel.warps_per_cta):
+                kernel.build_warp_columns(cta_id, warp_idx)
     best = {"object": math.inf, "vector": math.inf}
     results = {}
+    ratios = []
     for _ in range(repeats):
+        pair = {}
         for backend in best:
             run = replace(job, backend=backend)
             started = time.perf_counter()
             outcome = run.execute()
-            elapsed = time.perf_counter() - started
-            best[backend] = min(best[backend], elapsed)
+            pair[backend] = time.perf_counter() - started
+            best[backend] = min(best[backend], pair[backend])
             results[backend] = outcome
-    return {backend: (best[backend],
-                      canonical_result(results[backend].to_dict()))
-            for backend in best}
+        ratios.append(pair["object"] / pair["vector"]
+                      if pair["vector"] > 0 else math.inf)
+    return statistics.median(ratios), {
+        backend: (best[backend], canonical_result(results[backend].to_dict()))
+        for backend in best}
 
 
 def measure(repeats: int, quiet: bool = False) -> dict:
     cells = []
     for job in matrix():
         label = _label(job)
-        timed = _time_backends(job, repeats)
+        speedup, timed = _time_backends(job, repeats)
         obj_s, obj = timed["object"]
         vec_s, vec = timed["vector"]
         diffs = diff_paths(obj, vec)
@@ -103,7 +121,6 @@ def measure(repeats: int, quiet: bool = False) -> dict:
                 f"bench-core: PARITY FAILURE in {label}: object and vector "
                 f"backends disagree at {len(diffs)} path(s); first: "
                 f"{diffs[:3]}")
-        speedup = obj_s / vec_s if vec_s > 0 else math.inf
         cells.append({"label": label, "kernel": job.names[0],
                       "policy": list(job.policy),
                       "warp": _warp_label(job.warp),
@@ -121,6 +138,7 @@ def measure(repeats: int, quiet: bool = False) -> dict:
         "seed": SEED,
         "config": "small",
         "repeats": repeats,
+        "speedup": "median of per-pair object/vector ratios",
         "cells": cells,
         "geomean_speedup": round(geomean, 3),
     }
@@ -165,8 +183,8 @@ def main(argv=None) -> int:
                         help="compare speedups against a committed snapshot "
                              "instead of writing one")
     parser.add_argument("--repeats", type=int, default=3,
-                        help="timing repeats per cell/backend; min is kept "
-                             "(default 3)")
+                        help="interleaved object/vector pairs per cell; "
+                             "the median pair ratio is kept (default 3)")
     parser.add_argument("--tolerance", type=float, default=0.20,
                         help="allowed fractional speedup regression for "
                              "--check (default 0.20)")

@@ -19,6 +19,7 @@ instruction carries only what the timing model needs:
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Sequence
@@ -115,29 +116,44 @@ def validate_program(program: Sequence[Instruction]) -> None:
 
 # Column traces -------------------------------------------------------------
 
-#: Build-protocol flag: while true, a column-capable trace builder
-#: (``repro.workloads.programs.TraceBuilder``) returns a
+#: Build-protocol flag: while ``COLUMN_MODE.on`` is true, a column-capable
+#: trace builder (``repro.workloads.programs.TraceBuilder``) returns a
 #: :class:`ColumnProgram` from ``build()`` instead of materialising
-#: ``Instruction`` objects.  Toggled only by
+#: ``Instruction`` objects.  Set only by
 #: :meth:`repro.sim.kernel.Kernel.build_warp_columns` around the builder
-#: call; the simulator is single-threaded per process, so a plain module
-#: flag (reset in a ``finally``) is race-free.
-_COLUMN_MODE = False
+#: call.  Thread-local, so a column build in one thread (the service's
+#: in-thread worker) never leaks into an ``Instruction`` build in another.
+COLUMN_MODE = threading.local()
+
+
+def packed_latencies(lat: Sequence[int]) -> "bytes | tuple[int, ...]":
+    """A latency column as ``bytes`` when every latency fits a byte (the
+    common case: a quarter of the memory of a tuple of ints), else as a
+    tuple.  The vector core indexes both alike."""
+    try:
+        return bytes(lat)
+    except ValueError:
+        return tuple(lat)
 
 
 class ColumnProgram:
     """Column (structure-of-arrays) form of a validated warp trace.
 
     The vector backend's per-warp representation: one ``bytes`` of opcode
-    values plus parallel latency/line tuples, indexable by pc.  Carries
-    exactly the fields the timing model reads — building one skips every
-    ``Instruction`` allocation and per-instruction validation, which is a
-    measurable share of short-run wall clock.
+    values and a parallel latency column (see :func:`packed_latencies`),
+    both indexable by pc, plus ``lines``: the coalesced line tuple of each
+    memory row, keyed by its pc.  Memory rows are a minority of a trace,
+    so the sparse mapping holds a fraction of the references a per-row
+    tuple would.  Carries exactly the fields the timing model reads —
+    building one skips every ``Instruction`` allocation and
+    per-instruction validation, which is a measurable share of short-run
+    wall clock.
     """
 
     __slots__ = ("ops", "lat", "lines")
 
-    def __init__(self, ops: bytes, lat: tuple, lines: tuple) -> None:
+    def __init__(self, ops: bytes, lat: "bytes | tuple[int, ...]",
+                 lines: dict[int, tuple[int, ...]]) -> None:
         self.ops = ops
         self.lat = lat
         self.lines = lines
@@ -158,5 +174,5 @@ def program_columns(program: Sequence[Instruction]) -> ColumnProgram:
     """
     return ColumnProgram(
         bytes(inst.op for inst in program),
-        tuple(inst.latency for inst in program),
-        tuple(inst.lines for inst in program))
+        packed_latencies([inst.latency for inst in program]),
+        {pc: inst.lines for pc, inst in enumerate(program) if inst.lines})

@@ -51,7 +51,8 @@ class WarpColumns:
 
     __slots__ = ("state", "pc", "since", "t_ready", "t_alu", "t_mem",
                  "t_barrier", "last_issue", "entry_key", "ops", "lat",
-                 "lines", "warps", "ctas", "sched", "age", "baws_base")
+                 "lines", "midx", "mout", "warps", "ctas", "sched", "age",
+                 "baws_base")
 
     def __init__(self) -> None:
         #: WarpState as a plain int (READY=0 .. DONE=4).
@@ -67,11 +68,20 @@ class WarpColumns:
         self.entry_key: list[int] = []
         #: Encoded program: ``ops`` packs the Op codes into ``bytes`` (one
         #: byte per instruction — a tight, cache-friendly int sequence),
-        #: ``lat`` / ``lines`` carry the latency and coalesced-line tuples.
-        #: All three are None once the slot's CTA has completed.
+        #: ``lat`` the latencies (``bytes`` when all fit a byte, else a
+        #: tuple), ``lines`` the memory rows' coalesced-line tuples keyed by
+        #: pc.  All three are None once the slot's CTA has completed.
         self.ops: list[bytes | None] = []
-        self.lat: list[tuple[int, ...] | None] = []
-        self.lines: list[tuple[tuple[int, ...], ...] | None] = []
+        self.lat: list[bytes | tuple[int, ...] | None] = []
+        self.lines: list[dict[int, tuple[int, ...]] | None] = []
+        #: The slot's in-flight global memory instruction (at most one: a
+        #: WAIT_MEM warp cannot issue), which replaces a per-instruction
+        #: request object.  ``midx`` is the next line the LD/ST unit
+        #: processes; ``mout`` packs the L1 misses still outstanding
+        #: (``<< 1``) with an "accepted by the LD/ST unit" flag (bit 0), so
+        #: the instruction is complete exactly when ``mout == 1``.
+        self.midx: list[int] = []
+        self.mout: list[int] = []
         #: The warp/CTA objects behind each slot (synced at CTA release).
         self.warps: list["Warp"] = []
         self.ctas: list["CTA"] = []
@@ -87,8 +97,8 @@ class WarpColumns:
 
     def add(self, warp: "Warp", cta: "CTA", *, now: int, sched: int,
             age: int, baws_base: int, ops: bytes,
-            lat: tuple[int, ...],
-            lines: tuple[tuple[int, ...], ...]) -> int:
+            lat: bytes | tuple[int, ...],
+            lines: dict[int, tuple[int, ...]]) -> int:
         """Register a dispatched warp; returns its slot id."""
         slot = len(self.state)
         self.state.append(0)
@@ -103,6 +113,8 @@ class WarpColumns:
         self.ops.append(ops)
         self.lat.append(lat)
         self.lines.append(lines)
+        self.midx.append(0)
+        self.mout.append(0)
         self.warps.append(warp)
         self.ctas.append(cta)
         self.sched.append(sched)

@@ -12,8 +12,10 @@ overrides exactly the per-cycle machinery:
   (pick, issue and ALU-wake scheduling are one bytecode stream — the
   per-warp virtual dispatch of the object core is the cost this backend
   exists to remove);
-* ``_ldst_tick``  — same L1/queue walk, but the request's ``warp`` field
-  carries the *slot id* (the memory subsystem treats it opaquely) and
+* ``_ldst_tick``  — same L1/queue walk, but slot-indexed: the queue holds
+  slot ids, the in-flight instruction's progress lives in two per-slot
+  columns (``midx``/``mout``, see :class:`.columns.WarpColumns`) instead of
+  a ``MemRequest`` object, the L1 MSHR waiter is the slot id itself, and
   hit-completion wakeups go through the batched wake calendar;
 * ``mem_response``— fills wake slots directly, no object hop;
 * ``warp_state_counts`` / ``resident_warp_states`` — column reads for the
@@ -48,7 +50,7 @@ from ...mem.cache import Access
 from ..config import GPUConfig
 from ..cta import CTA
 from ..sm import PREFETCH, SM
-from ..warp import MemRequest, Warp
+from ..warp import Warp
 from . import VectorBackendError
 from .columns import WarpColumns
 from .sched import (AGE_BITS, GREEDY_KINDS, IDX_BITS, KIND_SWL,
@@ -70,9 +72,9 @@ _NO_PROGRAM: tuple = ()
 class VectorSM(SM):
     __slots__ = ("cols", "_state", "_pc", "_since", "_t_ready", "_t_alu",
                  "_t_mem", "_t_barrier", "_li", "_ekey", "_ops", "_lat",
-                 "_lines", "_cta_of", "_sched_of", "_age", "_baws",
-                 "_cta_slots", "_vsched", "_kind", "_greedy", "_cal",
-                 "_calheap", "_wake_base")
+                 "_lines", "_midx", "_mout", "_cta_of", "_sched_of", "_age",
+                 "_baws", "_cta_slots", "_vsched", "_kind", "_greedy",
+                 "_cal", "_calheap", "_wake_base")
 
     def __init__(self, gpu: "VectorGPU", sm_id: int, config: GPUConfig,
                  scheduler_factory: Callable[[], object], kind: int,
@@ -94,6 +96,8 @@ class VectorSM(SM):
         self._ops = cols.ops
         self._lat = cols.lat
         self._lines = cols.lines
+        self._midx = cols.midx
+        self._mout = cols.mout
         self._cta_of = cols.ctas
         self._sched_of = cols.sched
         self._age = cols.age
@@ -267,7 +271,8 @@ class VectorSM(SM):
             since = self._since
             t_ready = self._t_ready
             lat = self._lat
-            lines = self._lines
+            midx = self._midx
+            mout = self._mout
             cta_of = self._cta_of
             li = self._li
             cal = self._cal
@@ -364,14 +369,11 @@ class VectorSM(SM):
                         push(calheap, at)
                     else:
                         bucket.append(wake_base | (slot << 1))
-                elif op == 2:    # LD_GLOBAL
+                elif op < 4:     # LD_GLOBAL / ST_GLOBAL
                     state[slot] = 2
-                    ldst.append(
-                        MemRequest(slot, lines[slot][pc], is_store=False))
-                elif op == 3:    # ST_GLOBAL
-                    state[slot] = 2
-                    ldst.append(
-                        MemRequest(slot, lines[slot][pc], is_store=True))
+                    midx[slot] = 0
+                    mout[slot] = 0
+                    ldst.append(slot)
                 elif op == 4:    # BARRIER
                     cta.issued_barriers += 1
                     state[slot] = 3
@@ -479,52 +481,60 @@ class VectorSM(SM):
     # ------------------------------------------------------------------ #
     # LD/ST unit
     def _ldst_tick(self, now: int) -> None:
+        # The head slot's pc already points past its LD/ST, and cannot move
+        # while the warp is WAIT_MEM: the instruction is at pc - 1.
         l1 = self.l1
         ldst = self.ldst
-        request = ldst[0]
-        idx = request.idx
-        req_lines = request.lines
+        slot = ldst[0]
+        pc = self._pc[slot] - 1
+        req_lines = self._lines[slot][pc]
+        midx = self._midx
+        idx = midx[slot]
         line = req_lines[idx]
-        if request.is_store:
+        if self._ops[slot][pc] == 3:    # ST_GLOBAL
             l1.write_probe(line)
             if self._store_coalescing and self._store_absorbed(line):
                 l1.stats.stores_coalesced += 1
             else:
                 self._mem.store(self, line, now)
         else:
-            outcome = l1.lookup_load(line, request)
+            outcome = l1.lookup_load(line, slot)
             if outcome is Access.STALL:
                 self.ldst_blocked = True
                 return
             if outcome is Access.MISS:
-                request.outstanding += 1
+                self._mout[slot] += 2
                 self._mem.load(self, line, now)
                 if self._prefetch_next:
                     self._maybe_prefetch(line + 1, now)
             elif outcome is Access.MERGED:
-                request.outstanding += 1
+                self._mout[slot] += 2
             # Access.HIT needs no further action.
-        request.idx = idx + 1
-        if idx + 1 == len(req_lines):
-            ldst.popleft()
-            self.gate_blocked = False   # a queue slot opened up
-            request.accepted = True
-            if request.complete:
-                # All transactions hit (or it was a store): the warp
-                # resumes after the L1 hit latency — via the wake
-                # calendar instead of a per-request event.
-                self._schedule_wake(
-                    now + self._l1_hit_latency,
-                    self._wake_base | (request.warp << 1) | 1)
+        idx += 1
+        if idx < len(req_lines):
+            midx[slot] = idx
+            return
+        ldst.popleft()
+        self.gate_blocked = False   # a queue slot opened up
+        mout = self._mout[slot] | 1     # accepted
+        self._mout[slot] = mout
+        if mout == 1:
+            # All transactions hit (or it was a store): the warp resumes
+            # after the L1 hit latency — via the wake calendar instead of
+            # a per-request event.
+            self._schedule_wake(now + self._l1_hit_latency,
+                                self._wake_base | (slot << 1) | 1)
 
     def mem_response(self, now: int, line: int) -> None:
         self.ldst_blocked = False
-        for request in self.l1.fill(line):
-            if request is PREFETCH:
+        mout = self._mout
+        for slot in self.l1.fill(line):
+            if slot is PREFETCH:
                 continue
-            request.outstanding -= 1
-            if request.complete:
-                self._wake_mem_slot(now, request.warp)
+            outstanding = mout[slot] - 2
+            mout[slot] = outstanding
+            if outstanding == 1:    # accepted, nothing left outstanding
+                self._wake_mem_slot(now, slot)
 
     # ------------------------------------------------------------------ #
     # Read-only views (telemetry probes, DynCTA sampling)

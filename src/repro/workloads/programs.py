@@ -23,7 +23,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 from ..sim import isa as _isa
-from ..sim.isa import ColumnProgram, Instruction, Op
+from ..sim.isa import ColumnProgram, Instruction, Op, packed_latencies
 
 #: Interned non-memory instructions, keyed by ``(op, latency)``.  Bounded
 #: in practice by the handful of distinct latencies the factories use.
@@ -40,9 +40,10 @@ class TraceBuilder:
         self._shared_latency = shared_latency
         self._ops: list[Op] = []
         self._lat: list[int] = []
-        self._lines: list[tuple[int, ...]] = []
+        #: Coalesced lines of the memory rows only, keyed by pc.
+        self._lines: dict[int, tuple[int, ...]] = {}
         self._built = False
-        self._columns = _isa._COLUMN_MODE
+        self._columns = getattr(_isa.COLUMN_MODE, "on", False)
 
     # ------------------------------------------------------------------ #
     def alu(self, count: int = 1, latency: int | None = None) -> "TraceBuilder":
@@ -51,7 +52,6 @@ class TraceBuilder:
             raise ValueError("latency must be >= 1")
         self._ops.extend((Op.ALU,) * count)
         self._lat.extend((latency,) * count)
-        self._lines.extend(((),) * count)
         return self
 
     def shared(self, count: int = 1, latency: int | None = None) -> "TraceBuilder":
@@ -60,7 +60,6 @@ class TraceBuilder:
             raise ValueError("latency must be >= 1")
         self._ops.extend((Op.SHARED,) * count)
         self._lat.extend((latency,) * count)
-        self._lines.extend(((),) * count)
         return self
 
     def _memory(self, op: Op, lines: int | Iterable[int]) -> "TraceBuilder":
@@ -72,9 +71,9 @@ class TraceBuilder:
             raise ValueError(f"{op.name} instruction needs at least one line")
         if len(set(lines)) != len(lines):
             raise ValueError("memory instruction lines must be distinct (coalesced)")
+        self._lines[len(self._ops)] = lines
         self._ops.append(op)
         self._lat.append(1)
-        self._lines.append(lines)
         return self
 
     def load(self, lines: int | Iterable[int]) -> "TraceBuilder":
@@ -110,7 +109,6 @@ class TraceBuilder:
     def barrier(self) -> "TraceBuilder":
         self._ops.append(Op.BARRIER)
         self._lat.append(1)
-        self._lines.append(())
         return self
 
     # ------------------------------------------------------------------ #
@@ -130,16 +128,16 @@ class TraceBuilder:
         self._built = True
         ops = self._ops
         lat = self._lat
-        all_lines = self._lines
+        mem_lines = self._lines
         ops.append(Op.EXIT)
         lat.append(1)
-        all_lines.append(())
         if self._columns:
-            return ColumnProgram(bytes(ops), tuple(lat), tuple(all_lines))
+            return ColumnProgram(bytes(ops), packed_latencies(lat), mem_lines)
         cache = _NONMEM_CACHE
         program: list[Instruction] = []
         append = program.append
-        for op, latency, lines in zip(ops, lat, all_lines):
+        for pc, (op, latency) in enumerate(zip(ops, lat)):
+            lines = mem_lines.get(pc)
             if lines:
                 append(Instruction(op, latency, lines))
             else:

@@ -673,13 +673,20 @@ CKE_PAIRS = (
 
 
 def make_kernel(name: str, scale: float = 1.0, seed: int = DEFAULT_SEED) -> Kernel:
-    """Instantiate a suite benchmark by name."""
+    """Instantiate a suite benchmark by name.
+
+    The kernel's traces are a pure function of ``(name, scale, seed)``, so
+    it carries that as its trace-memo key: every kernel made with the same
+    arguments in one process shares one set of built traces.
+    """
     try:
         info = SUITE[name]
     except KeyError:
         raise ValueError(f"unknown benchmark {name!r}; "
                          f"available: {sorted(SUITE)}") from None
-    return info.make(scale=scale, seed=seed)
+    kernel = info.make(scale=scale, seed=seed)
+    kernel.memo_key = (name, scale, seed)
+    return kernel
 
 
 def suite_names(category: str | None = None) -> tuple[str, ...]:

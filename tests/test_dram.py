@@ -138,3 +138,27 @@ class TestOpenRow:
         dram.read(0, 0, lambda now, arg: None)
         drain(events)
         assert dram.open_row(0) == 0
+
+
+class TestEnqueueCoordinates:
+    def test_queued_requests_match_dram_coordinates(self, setup):
+        # _enqueue computes channel/bank/row inline; it must agree with the
+        # documented mapping (repro.mem.address.dram_coordinates).
+        from repro.mem.address import dram_coordinates
+
+        config, _, dram = setup
+        stride = config.dram_row_lines // 2 + 1
+        lines = [i * stride for i in range(4 * config.dram_channels
+                                           * config.dram_banks_per_channel)]
+        for line in lines:
+            dram.write(line, 0)
+        queued = {request.line: (index, request)
+                  for index, channel in enumerate(dram._channels)
+                  for request in channel.pending}
+        for line in lines:
+            coords = dram_coordinates(line, config.dram_channels,
+                                      config.dram_banks_per_channel,
+                                      config.dram_row_lines)
+            channel, request = queued[line]
+            assert (channel, request.bank, request.row) == \
+                (coords.channel, coords.bank, coords.row)

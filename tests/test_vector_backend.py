@@ -11,6 +11,8 @@ contract head-on:
   parity covers all three drift lanes, not just headline stats;
 * the membership schedulers (``two-level``, ``swl``) match on whole runs
   and, for the eviction rule, when driven directly;
+* the slot-indexed LD/ST unit matches under next-line prefetch, store
+  coalescing and a bandwidth-limited interconnect;
 * ``simulate()`` routes the requests the vector core cannot honour
   (checkpoints, resume, saboteurs, custom factories) to the object core,
   and those runs match an uninterrupted default run bitwise;
@@ -306,6 +308,46 @@ class TestTelemetryParity:
         obj = replace(job, backend="object").execute().to_dict()
         vec = replace(job, backend="vector").execute().to_dict()
         assert obj["meta"].get("timeline"), "rider did not produce a timeline"
+        assert diff_paths(canonical_result(obj), canonical_result(vec)) == []
+
+
+MEMORY_CONFIGS = {
+    "prefetch": replace(SMALL, l1_prefetch_next_line=True),
+    "store-coalescing": replace(SMALL, store_coalescing=True),
+    "icnt-bw2": replace(SMALL, icnt_bw_per_direction=2),
+}
+
+
+class TestMemoryPathParity:
+    """The LD/ST unit under the optional memory features.  ``spmv`` issues
+    multi-line gathers that merge in and stall on the L1 MSHRs,
+    ``streaming`` and ``histogram`` store, and ``kmeans`` reuses lines."""
+
+    @pytest.mark.parametrize("name", ["spmv", "streaming", "kmeans"])
+    @pytest.mark.parametrize("label", sorted(MEMORY_CONFIGS))
+    def test_vector_matches_object_bitwise(self, name, label):
+        job = SimJob(names=(name,), scale=0.05, policy=("rr",),
+                     config=MEMORY_CONFIGS[label])
+        obj = replace(job, backend="object").execute().to_dict()
+        vec = replace(job, backend="vector").execute().to_dict()
+        diffs = diff_paths(canonical_result(obj), canonical_result(vec))
+        assert not diffs, (
+            f"{name}/{label}: vector backend diverged from the object core "
+            f"at {len(diffs)} leaf path(s); first: {diffs[:3]}")
+        l1 = vec["l1"]
+        if label == "prefetch":
+            assert l1["prefetches"]
+        if name == "spmv":
+            assert l1["merges"] and l1["mshr_stalls"]
+        if name == "streaming":
+            assert l1["write_accesses"]
+
+    def test_store_coalescing_absorbs_stores_identically(self):
+        job = SimJob(names=("histogram",), scale=0.05, policy=("rr",),
+                     config=MEMORY_CONFIGS["store-coalescing"])
+        obj = replace(job, backend="object").execute().to_dict()
+        vec = replace(job, backend="vector").execute().to_dict()
+        assert vec["l1"]["stores_coalesced"]
         assert diff_paths(canonical_result(obj), canonical_result(vec)) == []
 
 
